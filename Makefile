@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race verify bench lint fuzz-short chaos cluster metrics-smoke megascale-short fleet-short fastpath federation
+.PHONY: build test race verify bench benchmark-check lint fuzz-short chaos cluster metrics-smoke megascale-short fleet-short fastpath federation
 
 build:
 	$(GO) build ./...
@@ -45,10 +45,18 @@ metrics-smoke:
 lint:
 	$(GO) run ./cmd/megate-lint -strict-ignores ./...
 
+# Repository-benchmark gate: benchmark/ is its own module (megate/benchmark,
+# `replace megate => ../`), so the root build and tests never compile it;
+# this vets it against the current tree and runs its four workloads at toy
+# scale (~15 s), catching an API change that breaks the benchmark.
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 # Megascale pipeline gate: a truncated ab-megascale sweep through the full
 # streamed interval (solve -> per-shard batched publication), plus the
 # zero-alloc gate on the stage-2 per-pair hot path — the benchmark output
-# must report 0 allocs/op.
+# must report 0 allocs/op. The truncated sweep only prints; the committed
+# BENCH_megascale.json is written by the default sweep alone.
 megascale-short:
 	$(GO) run ./cmd/megate-bench -experiment ab-megascale -megascale-flows 20000,50000
 	$(GO) test -run TestStage2PairZeroAlloc -bench BenchmarkStage2Pair -benchmem ./internal/core/ | tee /tmp/megate-stage2-bench.out

@@ -187,7 +187,11 @@ func Run(s Scenario) (*Result, error) {
 			rc.Metrics = reg
 		})
 		db := controlplane.ReplicaAdapter{Client: rc}
-		ctrl := controlplane.NewController(core.NewSolver(topo, core.Options{}), db)
+		// One stage-two worker: sites then flush in a fixed order. The flaky
+		// link draws its seeded fault decisions per connection in dial order,
+		// so a write order that followed worker scheduling would let the
+		// same seed fail different records on replay.
+		ctrl := controlplane.NewController(core.NewSolver(topo, core.Options{Workers: 1}), db)
 		ctrl.Metrics = reg
 		return ctrl, db
 	}

@@ -146,7 +146,9 @@ func RunFederation(s FederationScenario) (*FederationResult, error) {
 		topology.AttachEndpointsExact(topo, s.PerSite)
 		store := kvstore.NewStore(4)
 		db := controlplane.StoreAdapter{Store: store}
-		ctrl := controlplane.NewController(core.NewSolver(topo, core.Options{}), db)
+		// One stage-two worker, as in Run: the store write order must not
+		// follow worker scheduling on replay.
+		ctrl := controlplane.NewController(core.NewSolver(topo, core.Options{Workers: 1}), db)
 		ctrl.Metrics = reg
 
 		node := "gw:" + name

@@ -184,7 +184,9 @@ func RunShardLoss(s ShardLossScenario) (*ShardLossResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctrl := controlplane.NewController(core.NewSolver(topo, core.Options{}), controlplane.ClusterAdapter{Client: ctrlCluster})
+	// One stage-two worker, as in Run: the per-site flush order, and with it
+	// the order shards are dialed in, must not follow worker scheduling.
+	ctrl := controlplane.NewController(core.NewSolver(topo, core.Options{Workers: 1}), controlplane.ClusterAdapter{Client: ctrlCluster})
 	ctrl.Metrics = reg
 	// One lost shard must not stop the surviving shards from converging.
 	ctrl.TolerateWriteErrors = true

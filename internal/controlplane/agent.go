@@ -257,33 +257,104 @@ func (a *Agent) Poll() (bool, error) {
 	if a.Sync != nil {
 		return a.pollSync()
 	}
-	m := a.metrics()
 	a.polls.Inc()
-	m.polls.Inc()
+	a.metrics().polls.Inc()
 	v, err := a.Reader.ReadVersion()
 	if err != nil {
-		a.errs.Inc()
-		m.errs.Inc()
-		a.noteFailure(err)
-		return false, err
+		return a.pollFailed(err)
 	}
 	// While degraded the agent must re-pull even at an unchanged version:
 	// the TTL dropped its paths, so "consistent with v" no longer means
 	// "installed".
-	recovering := a.degraded.Load()
-	if v == a.lastVersion.Load() && !recovering {
+	if v == a.lastVersion.Load() && !a.degraded.Load() {
 		a.consecFails = 0
 		return false, nil
 	}
 	data, ok, err := a.Reader.ReadConfig(ConfigKey(a.Instance))
 	if err != nil {
-		a.errs.Inc()
-		m.errs.Inc()
-		a.noteFailure(err)
-		return false, err
+		return a.pollFailed(err)
 	}
 	a.consecFails = 0
-	if ok {
+	return a.install(v, data, ok)
+}
+
+// pollFailed records a poll the database did not answer: counted, and fed
+// to the staleness TTL.
+func (a *Agent) pollFailed(err error) (bool, error) {
+	a.errs.Inc()
+	a.metrics().errs.Inc()
+	a.noteFailure(err)
+	return false, err
+}
+
+// pollSync is Poll on the snapshot+delta protocol: a synced, healthy agent
+// issues one ReadDelta keyed by its last-seen version (one round-trip doing
+// the work of the version poll plus the config pull); a cold, recovering, or
+// gap-hit agent issues one ReadSnapshot covering its whole prefix.
+func (a *Agent) pollSync() (bool, error) {
+	m := a.metrics()
+	a.polls.Inc()
+	m.polls.Inc()
+	key := ConfigKey(a.Instance)
+	if a.synced && !a.degraded.Load() {
+		since := a.lastVersion.Load()
+		v, entries, err := a.Sync.ReadDelta(since, key)
+		switch {
+		case err == nil:
+			a.consecFails = 0
+			a.deltaPolls.Inc()
+			m.deltaPolls.Inc()
+			if v <= since {
+				return false, nil
+			}
+			// The prefix is exactly the agent's config key, so at most one
+			// compacted entry applies: a PUT carries the new record, a DEL
+			// means the instance lost its record.
+			for i := range entries {
+				if e := &entries[i]; e.Key == key {
+					return a.install(v, e.Value, !e.Delete)
+				}
+			}
+			// No entry: the version advanced without touching this instance,
+			// so what is installed stays and only the cursor moves.
+			a.emptyAcks.Inc()
+			m.emptyAcks.Inc()
+			a.lastVersion.Store(v)
+			return true, nil
+		case errors.Is(err, kvstore.ErrDeltaGap):
+			// The journal no longer reaches back to our cursor; resync with
+			// a snapshot below, inside the same poll.
+			m.deltaGaps.Inc()
+		default:
+			return a.pollFailed(err)
+		}
+	}
+	v, records, err := a.Sync.ReadSnapshot(key)
+	if err != nil {
+		return a.pollFailed(err)
+	}
+	a.consecFails = 0
+	a.snapshots.Inc()
+	m.snapshots.Inc()
+	data, ok := records[key]
+	updated, err := a.install(v, data, ok)
+	if err == nil {
+		// A corrupt record leaves the agent unsynced, so the next poll
+		// snapshots again.
+		a.synced = true
+	}
+	return updated, err
+}
+
+// install folds the database's answer about this instance's record, however
+// its bytes arrived, into the host and moves the agent to version v. With
+// present set, data is the record: it is applied and counted as an update.
+// Otherwise the instance has no record (all its flows rejected, or no
+// traffic): stale pinned paths go, and the version advance is consumed with
+// nothing installed — an empty ack.
+func (a *Agent) install(v uint64, data []byte, present bool) (bool, error) {
+	m := a.metrics()
+	if present {
 		var cfg InstanceConfig
 		if err := json.Unmarshal(data, &cfg); err != nil {
 			// A corrupt record is a failed poll — count it — but the database
@@ -297,132 +368,18 @@ func (a *Agent) Poll() (bool, error) {
 		a.updates.Inc()
 		m.updates.Inc()
 	} else {
-		// No record under the new version: this instance's flows were all
-		// rejected or it has no traffic; stale pinned paths must go. The
-		// version advance is consumed, but nothing was installed: an empty
-		// ack, not an update.
 		a.removeInstalled()
 		a.emptyAcks.Inc()
 		m.emptyAcks.Inc()
 	}
-	if recovering {
+	if a.degraded.Load() {
 		a.degraded.Store(false)
 		a.recoveries.Inc()
 		m.recoveries.Inc()
 		m.degraded.Add(-1)
 	}
-	// Even when this instance has no record (all its flows were rejected
-	// or it has no traffic), the agent is now consistent with version v.
-	a.lastVersion.Store(v)
-	return true, nil
-}
-
-// pollSync is Poll on the snapshot+delta protocol: a synced, healthy agent
-// issues one ReadDelta keyed by its last-seen version (one round-trip doing
-// the work of the version poll plus the config pull); a cold, recovering, or
-// gap-hit agent issues one ReadSnapshot covering its whole prefix.
-func (a *Agent) pollSync() (bool, error) {
-	m := a.metrics()
-	a.polls.Inc()
-	m.polls.Inc()
-	key := ConfigKey(a.Instance)
-	recovering := a.degraded.Load()
-	if a.synced && !recovering {
-		since := a.lastVersion.Load()
-		v, entries, err := a.Sync.ReadDelta(since, key)
-		switch {
-		case err == nil:
-			a.consecFails = 0
-			a.deltaPolls.Inc()
-			m.deltaPolls.Inc()
-			if v <= since {
-				return false, nil
-			}
-			return a.applyDelta(v, entries, m)
-		case errors.Is(err, kvstore.ErrDeltaGap):
-			// The journal no longer reaches back to our cursor; resync with
-			// a snapshot below, inside the same poll.
-			m.deltaGaps.Inc()
-		default:
-			a.errs.Inc()
-			m.errs.Inc()
-			a.noteFailure(err)
-			return false, err
-		}
-	}
-	v, records, err := a.Sync.ReadSnapshot(key)
-	if err != nil {
-		a.errs.Inc()
-		m.errs.Inc()
-		a.noteFailure(err)
-		return false, err
-	}
-	a.consecFails = 0
-	a.snapshots.Inc()
-	m.snapshots.Inc()
-	if data, ok := records[key]; ok {
-		var cfg InstanceConfig
-		if err := json.Unmarshal(data, &cfg); err != nil {
-			// Same posture as Poll's corrupt record: count it, leave the TTL
-			// and the installed paths alone, and stay unsynced so the next
-			// poll snapshots again.
-			a.errs.Inc()
-			m.errs.Inc()
-			return false, fmt.Errorf("controlplane: agent %s: %w: %v", a.Instance, ErrBadRecord, err)
-		}
-		a.apply(&cfg)
-		a.updates.Inc()
-		m.updates.Inc()
-	} else {
-		a.removeInstalled()
-		a.emptyAcks.Inc()
-		m.emptyAcks.Inc()
-	}
-	if recovering {
-		a.degraded.Store(false)
-		a.recoveries.Inc()
-		m.recoveries.Inc()
-		m.degraded.Add(-1)
-	}
-	a.synced = true
-	a.lastVersion.Store(v)
-	return true, nil
-}
-
-// applyDelta folds a delta answer covering (since, v] into the host. The
-// prefix is exactly the agent's config key, so at most one compacted entry
-// applies: a PUT carries the new record, a DEL means the instance lost its
-// record (stale paths must go), and no entry at all means the version
-// advanced without touching this instance — an empty ack that only moves the
-// cursor.
-func (a *Agent) applyDelta(v uint64, entries []kvstore.DeltaEntry, m *agentMetrics) (bool, error) {
-	key := ConfigKey(a.Instance)
-	var rec *kvstore.DeltaEntry
-	for i := range entries {
-		if entries[i].Key == key {
-			rec = &entries[i]
-			break
-		}
-	}
-	switch {
-	case rec != nil && !rec.Delete:
-		var cfg InstanceConfig
-		if err := json.Unmarshal(rec.Value, &cfg); err != nil {
-			a.errs.Inc()
-			m.errs.Inc()
-			return false, fmt.Errorf("controlplane: agent %s: %w: %v", a.Instance, ErrBadRecord, err)
-		}
-		a.apply(&cfg)
-		a.updates.Inc()
-		m.updates.Inc()
-	case rec != nil && rec.Delete:
-		a.removeInstalled()
-		a.emptyAcks.Inc()
-		m.emptyAcks.Inc()
-	default:
-		a.emptyAcks.Inc()
-		m.emptyAcks.Inc()
-	}
+	// Even when this instance has no record, the agent is now consistent
+	// with version v.
 	a.lastVersion.Store(v)
 	return true, nil
 }

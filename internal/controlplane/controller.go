@@ -2,11 +2,12 @@
 // Figure 4b) and the conventional top-down loop it replaces (Figure 4a).
 //
 // Bottom-up: the Controller solves TE, writes one configuration record per
-// virtual instance into the TE database (package kvstore), and publishes an
-// incremented version. Each endpoint Agent polls the version over a cheap
-// short connection — with its poll time spread across the window so the
-// database sees a flat query rate — and pulls its record only when the
-// version moved, installing the new SR paths into the host's path_map.
+// virtual instance into the TE database (package kvstore) while the solve is
+// still running, and publishes an incremented version once it is complete.
+// Each endpoint Agent polls the version over a cheap short connection — with
+// its poll time spread across the window so the database sees a flat query
+// rate — and pulls its record only when the version moved, installing the
+// new SR paths into the host's path_map.
 // All endpoints converge on the new configuration within one spread window:
 // eventual consistency in exchange for a controller that holds no
 // connections at all.
@@ -18,8 +19,6 @@ package controlplane
 
 import (
 	"encoding/binary"
-	"encoding/json"
-	"fmt"
 	"hash/fnv"
 	"sort"
 	"sync"
@@ -59,9 +58,11 @@ const configPrefix = "te/cfg/"
 // ConfigKey returns the database key for an instance's configuration.
 func ConfigKey(instance string) string { return configPrefix + instance }
 
-// ConfigStore is the controller's write interface to the TE database; both
-// *kvstore.Store (in-process) and *kvstore.Client (over TCP) satisfy it via
-// the adapters below.
+// ConfigStore is the controller's write interface to the TE database.
+// StoreAdapter (in-process), ClientAdapter (one server over TCP),
+// ReplicaAdapter and ClusterAdapter satisfy it. Record writes go out in
+// per-site batches through BatchConfigStore when the store also implements
+// it; PutConfig is the point-write fallback for stores that do not.
 type ConfigStore interface {
 	PutConfig(key string, value []byte) error
 	DeleteConfig(key string) error
@@ -162,8 +163,10 @@ type Controller struct {
 	m     *controllerMetrics
 
 	version atomic.Uint64
-	// lastHash maps instance -> hash of its last written config. Only
-	// RunInterval touches it (the TE loop is sequential).
+	// lastHash maps instance -> hash of the config durably in the database.
+	// RunInterval and, while it is blocked in the solve, its publisher's
+	// consumer goroutine touch it, never both at once (the TE loop is
+	// sequential); Recover rebuilds it after a restart.
 	lastHash map[string]uint64
 	stats    IntervalStats
 }
@@ -211,83 +214,39 @@ func (c *Controller) LastStats() IntervalStats { return c.stats }
 
 // RunInterval executes one TE interval (or a failure-triggered recompute):
 // solve the matrix, write the per-instance configurations that changed,
-// delete the ones that disappeared, publish the next version. It returns the
-// TE result and the number of instance records written; LastStats has the
-// full breakdown.
+// delete the ones that disappeared, publish the next version. Stage-two
+// results stream into the publisher (stream.go), which encodes and writes
+// each site's records while later sites are still solving; those writes stay
+// invisible to agents until the version is published at the end. It returns
+// the TE result and the number of instance records written; LastStats has
+// the full breakdown.
 func (c *Controller) RunInterval(m *traffic.Matrix) (*core.Result, int, error) {
 	cm := c.metrics()
 	intervalStart := time.Now()
-	res, err := c.Solver.Solve(m)
-	if err != nil {
+	next := c.version.Load() + 1
+	p := newStreamPublisher(c, cm, m, next)
+	p.consumer.Add(1)
+	go func() {
+		defer p.consumer.Done()
+		p.run()
+	}()
+	res, solveErr := c.Solver.SolveStream(m, p)
+	// Close the stream and join the consumer on every path — a leaked
+	// consumer would hold pooled chunks and race the next interval.
+	close(p.ch)
+	p.consumer.Wait()
+	cm.streamDepth.Set(0)
+	if solveErr != nil {
 		cm.solveFails.Inc()
-		return nil, 0, err
+		return nil, 0, solveErr
 	}
 	cm.stage["sitemerge"].Observe(res.SiteMergeTime.Seconds())
 	cm.stage["maxsiteflow"].Observe(res.SiteLPTime.Seconds())
 	cm.stage["fastssp"].Observe(res.SSPTime.Seconds())
 	publishStart := time.Now()
-	next := c.version.Load() + 1
-	configs := BuildConfigs(c.Solver.Topology(), m, res, next)
-	st := IntervalStats{}
-	// Writes and deletes go out in sorted instance order: agents that poll
-	// mid-publication then observe a deterministic prefix of the delta, and
-	// two controllers replaying the same interval produce identical write
-	// streams (map iteration order would randomize both).
-	instances := make([]string, 0, len(configs))
-	for ins := range configs {
-		instances = append(instances, ins)
-	}
-	sort.Strings(instances)
-	for _, ins := range instances {
-		cfg := configs[ins]
-		h := configHash(cfg)
-		if prev, ok := c.lastHash[ins]; ok && prev == h {
-			st.Unchanged++
-			continue
-		}
-		data, err := json.Marshal(cfg)
-		if err != nil {
-			return nil, 0, fmt.Errorf("controlplane: marshal config for %s: %w", ins, err)
-		}
-		if err := c.Store.PutConfig(ConfigKey(ins), data); err != nil {
-			// Drop the hash so the next interval rewrites this record: a write
-			// that partially reached a replica fan-out would otherwise look
-			// up-to-date forever while the replicas disagree.
-			delete(c.lastHash, ins)
-			if !c.TolerateWriteErrors {
-				return nil, 0, fmt.Errorf("controlplane: write config for %s: %w", ins, err)
-			}
-			st.WriteErrors++
-			continue
-		}
-		c.lastHash[ins] = h
-		st.Written++
-	}
-	stale := make([]string, 0, len(c.lastHash))
-	for ins := range c.lastHash {
-		if _, ok := configs[ins]; !ok {
-			stale = append(stale, ins)
-		}
-	}
-	sort.Strings(stale)
-	for _, ins := range stale {
-		if err := c.Store.DeleteConfig(ConfigKey(ins)); err != nil {
-			if !c.TolerateWriteErrors {
-				return nil, 0, fmt.Errorf("controlplane: delete config for %s: %w", ins, err)
-			}
-			// Keep the instance in lastHash: it stays stale next interval, so
-			// the delete is retried until the shard accepts it.
-			st.WriteErrors++
-			continue
-		}
-		delete(c.lastHash, ins)
-		st.Deleted++
-	}
-	if err := c.Store.PublishVersion(next); err != nil {
-		if !c.TolerateWriteErrors {
-			return nil, 0, err
-		}
-		st.WriteErrors++
+	st, err := p.finish()
+	if err != nil {
+		return nil, 0, err
 	}
 	c.version.Store(next)
 	st.noteFastPath(res, cm)
@@ -325,8 +284,9 @@ func (c *Controller) OnLinkFailure(m *traffic.Matrix) (*core.Result, int, error)
 }
 
 // BuildConfigs groups the per-flow tunnel assignments of a TE result into
-// per-instance configuration records. Flows that were rejected produce no
-// entry (their instance keeps no pinned path and falls back to conventional
+// per-instance configuration records: the reference derivation the database
+// contents are checked against. Flows that were rejected produce no entry
+// (their instance keeps no pinned path and falls back to conventional
 // routing). Each record's Paths are sorted by DstSite so the same assignment
 // always serializes (and hashes) identically.
 func BuildConfigs(topo *topology.Topology, m *traffic.Matrix, res *core.Result, version uint64) map[string]*InstanceConfig {
@@ -334,13 +294,7 @@ func BuildConfigs(topo *topology.Topology, m *traffic.Matrix, res *core.Result, 
 	// pathIdx[ins][dst] is the position of dst's entry in configs[ins].Paths,
 	// replacing a linear scan over Paths per flow.
 	pathIdx := make(map[string]map[uint32]int)
-	// Tier ranks are computed lazily per pair and only when the matrix
-	// carries tier bounds — the default path never touches them.
-	tiered := m.Policies.HasTierBounds()
-	var tierCache map[traffic.SitePair][]int
-	if tiered {
-		tierCache = make(map[traffic.SitePair][]int)
-	}
+	tiers := newTierStamper(topo, m)
 	for i, tn := range res.FlowTunnel {
 		if tn == nil {
 			continue
@@ -353,32 +307,35 @@ func BuildConfigs(topo *topology.Topology, m *traffic.Matrix, res *core.Result, 
 			configs[ins] = cfg
 			pathIdx[ins] = make(map[uint32]int)
 		}
-		hops := make([]uint32, len(tn.Sites))
-		for j, s := range tn.Sites {
-			hops[j] = uint32(s)
-		}
-		var tier uint8
-		if tiered {
-			if _, bound := m.Policies.TierBound(f.App); bound {
-				tier = pairTier(tierCache, topo, res, f.Pair, tn)
-			}
-		}
-		dst := uint32(f.Pair.Dst)
+		entry := newPathEntry(uint32(f.Pair.Dst), tn, tiers.pairTier(f, res.Tunnels[f.Pair], tn))
 		idx := pathIdx[ins]
-		if pos, ok := idx[dst]; ok {
-			cfg.Paths[pos].Hops = hops
-			cfg.Paths[pos].Tier = tier
+		if pos, ok := idx[entry.DstSite]; ok {
+			cfg.Paths[pos] = entry
 		} else {
-			idx[dst] = len(cfg.Paths)
-			cfg.Paths = append(cfg.Paths, PathEntry{DstSite: dst, Hops: hops, Tier: tier})
+			idx[entry.DstSite] = len(cfg.Paths)
+			cfg.Paths = append(cfg.Paths, entry)
 		}
 	}
 	for _, cfg := range configs {
-		sort.Slice(cfg.Paths, func(a, b int) bool {
-			return cfg.Paths[a].DstSite < cfg.Paths[b].DstSite
-		})
+		sortPaths(cfg.Paths)
 	}
 	return configs
+}
+
+// newPathEntry is how an assigned tunnel becomes a path decision toward dst;
+// BuildConfigs and the streaming publisher both encode through it, so the
+// record format has one definition.
+func newPathEntry(dst uint32, tn *topology.Tunnel, tier uint8) PathEntry {
+	hops := make([]uint32, len(tn.Sites))
+	for j, s := range tn.Sites {
+		hops[j] = uint32(s)
+	}
+	return PathEntry{DstSite: dst, Hops: hops, Tier: tier}
+}
+
+// sortPaths puts a record's paths in their canonical DstSite order.
+func sortPaths(paths []PathEntry) {
+	sort.Slice(paths, func(a, b int) bool { return paths[a].DstSite < paths[b].DstSite })
 }
 
 // configHash fingerprints an InstanceConfig independently of its Version
@@ -405,14 +362,37 @@ func configHash(cfg *InstanceConfig) uint64 {
 	return h.Sum64()
 }
 
-// pairTier resolves the tier rank of the tunnel within its pair's tunnel
-// set, caching the per-pair ranking across the flows of one interval.
-func pairTier(cache map[traffic.SitePair][]int, topo *topology.Topology, res *core.Result, pair traffic.SitePair, tn *topology.Tunnel) uint8 {
-	tns := res.Tunnels[pair]
-	tiers, ok := cache[pair]
+// tierStamper resolves PathEntry.Tier for the flows of one interval. Tier
+// ranks are computed lazily per pair and only when the matrix carries tier
+// bounds — the default path never touches them.
+type tierStamper struct {
+	topo     *topology.Topology
+	policies *traffic.PolicyTable
+	// cache holds each pair's tunnel ranking; nil when no policy binds a tier.
+	cache map[traffic.SitePair][]int
+}
+
+func newTierStamper(topo *topology.Topology, m *traffic.Matrix) tierStamper {
+	ts := tierStamper{topo: topo, policies: m.Policies}
+	if m.Policies.HasTierBounds() {
+		ts.cache = make(map[traffic.SitePair][]int)
+	}
+	return ts
+}
+
+// pairTier returns the tier rank of tn within tns, its pair's tunnel set,
+// for a flow whose app carries a tier bound, and zero for every other flow.
+func (ts tierStamper) pairTier(f *traffic.Flow, tns []*topology.Tunnel, tn *topology.Tunnel) uint8 {
+	if ts.cache == nil {
+		return 0
+	}
+	if _, bound := ts.policies.TierBound(f.App); !bound {
+		return 0
+	}
+	tiers, ok := ts.cache[f.Pair]
 	if !ok {
-		tiers = core.TunnelTiers(tns, topo)
-		cache[pair] = tiers
+		tiers = core.TunnelTiers(tns, ts.topo)
+		ts.cache[f.Pair] = tiers
 	}
 	for i, t := range tns {
 		if t == tn {

@@ -43,7 +43,7 @@ const (
 	MetricFastPathFallbacks = "megate_controller_fastpath_fallbacks_total"
 	MetricOptimalityGap     = "megate_controller_optimality_gap"
 
-	// Streaming-pipeline metrics (RunIntervalStreaming): the depth of the
+	// Publication-pipeline metrics (every RunInterval): the depth of the
 	// solver→publisher chunk queue, the per-stage cost of the streaming
 	// publisher, and the fraction of record writes that overlapped the solve
 	// instead of trailing it.

@@ -47,75 +47,103 @@ func putConfigBatch(store ConfigStore, keys []string, values [][]byte) ([]int, e
 }
 
 // pathSlot is one (instance, dstSite) routing decision under construction:
-// the tunnel chosen for the highest matrix flow index seen so far. Keeping
-// the index replicates BuildConfigs' last-flow-wins overwrite rule without
-// depending on chunk arrival order.
+// the tunnel chosen for the highest matrix flow index seen so far, with the
+// tier rank that flow's policy stamps on it. Keeping the index replicates
+// BuildConfigs' last-flow-wins overwrite rule without depending on chunk
+// arrival order.
 type pathSlot struct {
 	flow int32
 	tn   *topology.Tunnel
+	tier uint8
 }
 
-// instEntry accumulates one instance's streamed path decisions.
+// instEntry accumulates one instance's streamed path decisions. An entry
+// with no slots stands for an instance none of whose flows are placed (yet):
+// it has no record.
 type instEntry struct {
+	ins   string
 	site  topology.SiteID
 	slots map[uint32]pathSlot
-	// dirty marks slot changes since the last flush evaluation; eval/hash
-	// memoize that evaluation so the finish sweep can skip re-encoding the
-	// (vast) majority of instances that did not change after their site
-	// flushed — at a million flows this is the difference between a sweep
-	// that hashes a handful of residual-pass instances and one that
-	// re-serializes the whole fleet.
-	dirty bool
-	eval  bool
-	hash  uint64
+	// classes has one bit per QoS class the instance sources flows in, read
+	// off the matrix before the first chunk: the record is complete once the
+	// site has seen the SiteDone marker of every one of them.
+	classes uint8
+	// unplaced counts flows stage two left unassigned and the residual pass
+	// has not placed: while it is nonzero the record can still gain a path,
+	// so site flushes pass the instance over.
+	unplaced int
+	// flushed marks that a site flush evaluated the record and no slot moved
+	// since; hash memoizes that evaluation so the finish sweep can skip
+	// re-encoding the (vast) majority of instances — at a million flows this
+	// is the difference between a sweep that hashes a handful of deferred
+	// instances and one that re-serializes the whole fleet.
+	flushed bool
+	hash    uint64
+	// streamed marks that a site flush durably wrote this instance's final
+	// bytes during the solve, so a final hash equal to lastHash counts as
+	// Written rather than Unchanged.
+	streamed bool
 }
 
-// streamPublisher is a core.StreamSink that encodes instance configurations
-// and writes them to the TE database while stage two is still solving other
-// sites. Chunks flow through a buffered channel into a single consumer
-// goroutine that owns all publisher state; on each SiteDone marker the
-// consumer flushes that site's dirty instances as one batched store write.
-// After the solve returns, finish reconciles: instances the residual pass
-// (or a failed flush) left stale are rewritten, streamed records whose bytes
-// already match the final assignment are accepted as-is, stale records are
-// deleted, and the version is published — yielding exactly the store state
-// and stats of the barriered RunInterval.
+// streamPublisher is the controller's one publication algorithm: a
+// core.StreamSink that encodes instance configurations and writes them to
+// the TE database while stage two is still solving other sites. Chunks flow
+// through a buffered channel into a single consumer goroutine that owns all
+// publisher state; on each SiteDone marker the consumer flushes that site's
+// complete instances as one batched store write. Only final records are
+// written mid-solve: an instance with flows in a QoS class the site has not
+// finished, or with an unassigned flow the residual pass may yet place,
+// waits — so every record is put at most once per interval, an interval that
+// changes nothing writes nothing, and no partial record is ever durable.
+// After the solve returns, finish reconciles: instances the flushes deferred
+// (or failed to store) are written, streamed records are accepted as-is,
+// stale records are deleted, and the version is published — leaving the
+// database equal to BuildConfigs of the Result for every record that changed,
+// and untouched for the rest.
 //
-// Intermediate writes are invisible to agents until PublishVersion: the
+// Mid-solve writes are invisible to agents until PublishVersion: the
 // version-poll protocol is what makes overlapping publish with solve safe.
 type streamPublisher struct {
-	c    *Controller
-	cm   *controllerMetrics
-	topo *topology.Topology
-	m    *traffic.Matrix
+	c     *Controller
+	cm    *controllerMetrics
+	topo  *topology.Topology
+	m     *traffic.Matrix
+	tiers tierStamper
 	// version is the version the interval will publish; streamed records are
 	// encoded with it up front.
 	version uint64
 
+	// ch is deep enough that a site flush (one store round-trip) does not
+	// stall the stage-two workers behind it.
 	ch       chan *core.StreamChunk
 	consumer sync.WaitGroup
 
 	// Consumer-goroutine state. c.lastHash is also touched from the consumer;
 	// that is safe because the controller goroutine is blocked in SolveStream
 	// for the consumer's whole lifetime and joins it before finish.
-	built    map[string]*instEntry
-	dirty    map[topology.SiteID]map[string]struct{}
-	wrote    map[string]uint64 // instance -> hash last durably streamed
-	streamed int               // records written while the solve was running
-	err      error             // first fatal error (strict write or marshal)
+	built map[string]*instEntry
+	// byEndpoint resolves a flow's source endpoint to its instance's entry
+	// without hashing the instance name once per flow.
+	byEndpoint []*instEntry
+	dirty      map[topology.SiteID]map[string]struct{}
+	// done[src] has one bit per QoS class whose SiteDone for src has arrived.
+	done []uint8
+	err  error // first fatal error (strict write or marshal)
 }
 
 func newStreamPublisher(c *Controller, cm *controllerMetrics, m *traffic.Matrix, version uint64) *streamPublisher {
+	topo := c.Solver.Topology()
 	return &streamPublisher{
 		c:       c,
 		cm:      cm,
-		topo:    c.Solver.Topology(),
+		topo:    topo,
 		m:       m,
+		tiers:   newTierStamper(topo, m),
 		version: version,
 		ch:      make(chan *core.StreamChunk, 1024),
 		built:   make(map[string]*instEntry),
 		dirty:   make(map[topology.SiteID]map[string]struct{}),
-		wrote:   make(map[string]uint64),
+		done:    make([]uint8, topo.NumSites()),
 	}
 }
 
@@ -126,44 +154,77 @@ func (p *streamPublisher) Chunk(ck *core.StreamChunk) {
 	p.cm.streamDepth.Set(float64(len(p.ch)))
 }
 
-// run is the consumer goroutine: drain the stream, fold chunks into per-
-// instance state, flush on site boundaries. It keeps draining after a fatal
-// error so the solver never blocks on a full channel.
+// run is the consumer goroutine: index the matrix, then drain the stream,
+// fold chunks into per-instance state, flush on site boundaries. It keeps
+// draining after a fatal error so the solver never blocks on a full channel.
 func (p *streamPublisher) run() {
+	p.index()
 	for ck := range p.ch {
 		p.consume(ck)
 		core.ReleaseChunk(ck)
 	}
 }
 
+// index creates one entry per instance sourcing flows in the matrix and
+// records which QoS classes those flows are in. It runs on the consumer
+// goroutine ahead of the first chunk, while the solver is still in stage one.
+// An instance is taken to live at one site, that of its first flow.
+func (p *streamPublisher) index() {
+	p.byEndpoint = make([]*instEntry, p.topo.NumEndpoints())
+	for i := range p.m.Flows {
+		f := &p.m.Flows[i]
+		e := p.byEndpoint[f.Src]
+		if e == nil {
+			ins := p.topo.Endpoints[f.Src].Instance
+			if e = p.built[ins]; e == nil {
+				e = &instEntry{ins: ins, site: f.Pair.Src}
+				p.built[ins] = e
+			}
+			p.byEndpoint[f.Src] = e
+		}
+		e.classes |= 1 << uint(f.Class)
+	}
+}
+
 func (p *streamPublisher) consume(ck *core.StreamChunk) {
 	if ck.SiteDone {
-		p.flushSite(ck.Pair.Src)
+		src := ck.Pair.Src
+		if ck.Class == 0 {
+			// An unsplit solve is one pass over every class.
+			p.done[src] = ^uint8(0)
+		} else {
+			p.done[src] |= 1 << uint(ck.Class)
+		}
+		p.flushSite(src)
 		return
 	}
 	for i, fi := range ck.FlowIdx {
+		f := &p.m.Flows[fi]
+		e := p.byEndpoint[f.Src]
 		t := ck.TunIdx[i]
 		if t < 0 {
+			e.unplaced++
 			continue
 		}
-		f := &p.m.Flows[fi]
-		ins := p.topo.Endpoints[f.Src].Instance
-		e := p.built[ins]
-		if e == nil {
-			e = &instEntry{site: ck.Pair.Src, slots: make(map[uint32]pathSlot, 4)}
-			p.built[ins] = e
+		if ck.Residual {
+			// Residual chunks carry only flows a pair chunk reported unassigned.
+			e.unplaced--
+		}
+		if e.slots == nil {
+			e.slots = make(map[uint32]pathSlot, 4)
 		}
 		dst := uint32(f.Pair.Dst)
 		if s, ok := e.slots[dst]; !ok || fi >= s.flow {
-			e.slots[dst] = pathSlot{flow: fi, tn: ck.Tunnels[t]}
-			e.dirty = true
+			tn := ck.Tunnels[t]
+			e.slots[dst] = pathSlot{flow: fi, tn: tn, tier: p.tiers.pairTier(f, ck.Tunnels, tn)}
+			e.flushed = false
 		}
 		set := p.dirty[e.site]
 		if set == nil {
 			set = make(map[string]struct{})
 			p.dirty[e.site] = set
 		}
-		set[ins] = struct{}{}
+		set[e.ins] = struct{}{}
 	}
 }
 
@@ -171,20 +232,11 @@ func (p *streamPublisher) consume(ck *core.StreamChunk) {
 // returns its version-independent hash plus serialized bytes.
 func (p *streamPublisher) encode(ins string) (uint64, []byte, error) {
 	e := p.built[ins]
-	cfg := &InstanceConfig{Instance: ins, Version: p.version}
-	dsts := make([]uint32, 0, len(e.slots))
-	for dst := range e.slots {
-		dsts = append(dsts, dst)
+	cfg := &InstanceConfig{Instance: ins, Version: p.version, Paths: make([]PathEntry, 0, len(e.slots))}
+	for dst, s := range e.slots {
+		cfg.Paths = append(cfg.Paths, newPathEntry(dst, s.tn, s.tier))
 	}
-	sort.Slice(dsts, func(a, b int) bool { return dsts[a] < dsts[b] })
-	for _, dst := range dsts {
-		tn := e.slots[dst].tn
-		hops := make([]uint32, len(tn.Sites))
-		for j, s := range tn.Sites {
-			hops[j] = uint32(s)
-		}
-		cfg.Paths = append(cfg.Paths, PathEntry{DstSite: dst, Hops: hops})
-	}
+	sortPaths(cfg.Paths)
 	h := configHash(cfg)
 	data, err := json.Marshal(cfg)
 	if err != nil {
@@ -193,171 +245,168 @@ func (p *streamPublisher) encode(ins string) (uint64, []byte, error) {
 	return h, data, nil
 }
 
-// flushSite writes the dirty instances of src as one batch. Records whose
-// hash matches what is already durable (from this stream or the previous
-// interval) are skipped, mirroring the delta layer.
+// writeBatch is one pending batched store write, as parallel slices.
+type writeBatch struct {
+	names  []string
+	hashes []uint64
+	keys   []string
+	vals   [][]byte
+}
+
+func (b *writeBatch) add(ins string, h uint64, data []byte) {
+	b.names = append(b.names, ins)
+	b.hashes = append(b.hashes, h)
+	b.keys = append(b.keys, ConfigKey(ins))
+	b.vals = append(b.vals, data)
+}
+
+// put issues the batch and records every record's outcome in c.lastHash: a
+// stored record's hash becomes the durable one, a failed record's hash is
+// dropped so the finish sweep (and, failing that, the next interval)
+// rewrites it — a write that partially reached a replica fan-out would
+// otherwise look up-to-date forever while the replicas disagree. done sees
+// each outcome too.
+func (p *streamPublisher) put(b *writeBatch, done func(ins string, ok bool)) error {
+	if len(b.keys) == 0 {
+		return nil
+	}
+	failed, err := putConfigBatch(p.c.Store, b.keys, b.vals)
+	bad := make(map[int]struct{}, len(failed))
+	for _, i := range failed {
+		bad[i] = struct{}{}
+	}
+	for i, ins := range b.names {
+		_, isBad := bad[i]
+		if isBad {
+			delete(p.c.lastHash, ins)
+		} else {
+			p.c.lastHash[ins] = b.hashes[i]
+		}
+		done(ins, !isBad)
+	}
+	return err
+}
+
+// flushSite writes the dirty instances of src whose record is final as one
+// batch; the others stay dirty for a later marker or the finish sweep.
+// Records whose hash matches what is already durable are skipped: the delta
+// layer. Failures do not touch the stats here; the sweep's retry is where
+// they are counted exactly once.
 func (p *streamPublisher) flushSite(src topology.SiteID) {
 	if p.err != nil {
 		return
 	}
 	set := p.dirty[src]
-	if len(set) == 0 {
-		return
-	}
-	delete(p.dirty, src)
 	inss := make([]string, 0, len(set))
 	for ins := range set {
-		inss = append(inss, ins)
+		if e := p.built[ins]; e.unplaced == 0 && e.classes&^p.done[src] == 0 {
+			inss = append(inss, ins)
+			delete(set, ins)
+		}
+	}
+	if len(inss) == 0 {
+		return
 	}
 	sort.Strings(inss)
 
 	encodeStart := time.Now()
-	var names []string
-	var hashes []uint64
-	var keys []string
-	var vals [][]byte
+	var b writeBatch
 	for _, ins := range inss {
+		e := p.built[ins]
 		h, data, err := p.encode(ins)
 		if err != nil {
 			p.err = err
 			return
 		}
-		e := p.built[ins]
-		e.eval, e.hash, e.dirty = true, h, false
-		if wh, ok := p.wrote[ins]; ok {
-			if wh == h {
-				continue
-			}
-		} else if lh, ok := p.c.lastHash[ins]; ok && lh == h {
+		e.flushed, e.hash = true, h
+		if lh, ok := p.c.lastHash[ins]; ok && lh == h {
 			continue
 		}
-		names = append(names, ins)
-		hashes = append(hashes, h)
-		keys = append(keys, ConfigKey(ins))
-		vals = append(vals, data)
+		b.add(ins, h, data)
 	}
 	p.cm.streamStage["encode"].Observe(time.Since(encodeStart).Seconds())
-	p.flush(names, hashes, keys, vals)
-}
 
-// flush issues the batched store write and updates durability tracking. A
-// failed record drops both its streamed hash and its delta hash, so the
-// finish sweep (and, failing that, the next interval) rewrites it — the same
-// recovery rule as the barriered publisher. Failures do not touch the stats
-// here; the sweep's retry is where they are counted exactly once.
-func (p *streamPublisher) flush(names []string, hashes []uint64, keys []string, vals [][]byte) {
-	if len(keys) == 0 {
-		return
-	}
 	start := time.Now()
-	failed, err := putConfigBatch(p.c.Store, keys, vals)
-	p.cm.streamStage["flush"].Observe(time.Since(start).Seconds())
-	failedSet := make(map[int]struct{}, len(failed))
-	for _, i := range failed {
-		failedSet[i] = struct{}{}
-	}
-	for i, ins := range names {
-		if _, bad := failedSet[i]; bad {
-			delete(p.wrote, ins)
-			delete(p.c.lastHash, ins)
-			continue
+	err := p.put(&b, func(ins string, ok bool) {
+		if ok {
+			p.built[ins].streamed = true
 		}
-		p.wrote[ins] = hashes[i]
-		p.streamed++
-	}
-	if err != nil && !p.c.TolerateWriteErrors && p.err == nil {
+	})
+	p.cm.streamStage["flush"].Observe(time.Since(start).Seconds())
+	if err != nil && !p.c.TolerateWriteErrors {
 		p.err = err
 	}
 }
 
 // finish runs on the controller goroutine after the consumer has been
 // joined: sweep every built instance to its final bytes, delete stale
-// records, publish the version. The returned stats match what the barriered
-// RunInterval would report for the same assignment.
+// records, publish the version.
 func (p *streamPublisher) finish() (IntervalStats, error) {
 	st := IntervalStats{}
 	// p.err is a strict-mode write failure or a marshal failure; both abort
-	// the interval before any version is published, like RunInterval.
+	// the interval before any version is published.
 	if p.err != nil {
 		return st, p.err
 	}
 
 	sweepStart := time.Now()
 	instances := make([]string, 0, len(p.built))
-	for ins := range p.built {
-		instances = append(instances, ins)
+	for ins, e := range p.built {
+		if len(e.slots) > 0 {
+			instances = append(instances, ins)
+		}
 	}
 	sort.Strings(instances)
 
-	var names []string
-	var hashes []uint64
-	var keys []string
-	var vals [][]byte
+	var b writeBatch
 	for _, ins := range instances {
 		// Untouched since its flush evaluation: reuse the memoized hash and
 		// skip the (dominant at scale) re-encode.
 		e := p.built[ins]
-		var h uint64
+		h, fresh := e.hash, e.flushed
 		var data []byte
-		if e.eval && !e.dirty {
-			h = e.hash
-		} else {
+		if !fresh {
 			var err error
-			h, data, err = p.encode(ins)
-			if err != nil {
+			if h, data, err = p.encode(ins); err != nil {
 				return st, err
 			}
 		}
-		if wh, ok := p.wrote[ins]; ok && wh == h {
-			// The streamed bytes already are the final bytes.
-			p.c.lastHash[ins] = h
-			st.Written++
+		if lh, ok := p.c.lastHash[ins]; ok && lh == h {
+			if e.streamed {
+				// The streamed bytes already are the final bytes.
+				st.Written++
+			} else {
+				st.Unchanged++
+			}
 			continue
 		}
-		if _, ok := p.wrote[ins]; !ok {
-			if lh, ok := p.c.lastHash[ins]; ok && lh == h {
-				st.Unchanged++
-				continue
-			}
-		}
-		if data == nil {
-			// Memoized-hash path that still needs a write (its streamed
-			// flush failed): serialize now.
+		if fresh {
+			// Memoized hash that still needs a write (its streamed flush
+			// failed): serialize now.
 			var err error
-			h, data, err = p.encode(ins)
-			if err != nil {
+			if h, data, err = p.encode(ins); err != nil {
 				return st, err
 			}
 		}
-		names = append(names, ins)
-		hashes = append(hashes, h)
-		keys = append(keys, ConfigKey(ins))
-		vals = append(vals, data)
+		b.add(ins, h, data)
 	}
 	overlapped := st.Written
-	if len(keys) > 0 {
-		failed, err := putConfigBatch(p.c.Store, keys, vals)
-		failedSet := make(map[int]struct{}, len(failed))
-		for _, i := range failed {
-			failedSet[i] = struct{}{}
-		}
-		for i, ins := range names {
-			if _, bad := failedSet[i]; bad {
-				delete(p.c.lastHash, ins)
-				st.WriteErrors++
-				continue
-			}
-			p.c.lastHash[ins] = hashes[i]
+	err := p.put(&b, func(_ string, ok bool) {
+		if ok {
 			st.Written++
+		} else {
+			st.WriteErrors++
 		}
-		if err != nil && !p.c.TolerateWriteErrors {
-			return st, fmt.Errorf("controlplane: streamed publish: %w", err)
-		}
+	})
+	if err != nil && !p.c.TolerateWriteErrors {
+		return st, fmt.Errorf("controlplane: publish configs: %w", err)
 	}
 
+	// Deletes go out in sorted instance order so two controllers replaying
+	// the same interval issue the same stream (map order would randomize it).
 	stale := make([]string, 0, len(p.c.lastHash))
 	for ins := range p.c.lastHash {
-		if _, ok := p.built[ins]; !ok {
+		if e := p.built[ins]; e == nil || len(e.slots) == 0 {
 			stale = append(stale, ins)
 		}
 	}
@@ -367,6 +416,8 @@ func (p *streamPublisher) finish() (IntervalStats, error) {
 			if !p.c.TolerateWriteErrors {
 				return st, fmt.Errorf("controlplane: delete config for %s: %w", ins, err)
 			}
+			// Keep the instance in lastHash: it stays stale next interval, so
+			// the delete is retried until the shard accepts it.
 			st.WriteErrors++
 			continue
 		}
@@ -378,60 +429,23 @@ func (p *streamPublisher) finish() (IntervalStats, error) {
 		if !p.c.TolerateWriteErrors {
 			return st, err
 		}
+		// The controller's own version still advances, so the reachable
+		// shards that did accept the publish stay consistent with it.
 		st.WriteErrors++
 	}
 	p.cm.streamStage["sweep"].Observe(time.Since(sweepStart).Seconds())
-	if total := st.Written; total > 0 {
-		p.cm.overlapFrac.Set(float64(overlapped) / float64(total))
+	if st.Written > 0 {
+		p.cm.overlapFrac.Set(float64(overlapped) / float64(st.Written))
 	} else {
 		p.cm.overlapFrac.Set(0)
 	}
 	return st, nil
 }
 
-// RunIntervalStreaming executes one TE interval with the streaming pipeline:
-// stage-two results are encoded and written to the store while later sites
-// are still solving, so publication overlaps the solve instead of trailing
-// it. The final store contents, published version, and interval stats are
-// identical to RunInterval on the same matrix — intermediate writes stay
-// invisible to agents until the version is published at the end.
+// RunIntervalStreaming is RunInterval.
+//
+// Deprecated: RunInterval is the streaming pipeline; this name remains only
+// until benchmark/control.go stops calling it.
 func (c *Controller) RunIntervalStreaming(m *traffic.Matrix) (*core.Result, int, error) {
-	cm := c.metrics()
-	intervalStart := time.Now()
-	next := c.version.Load() + 1
-	p := newStreamPublisher(c, cm, m, next)
-	p.consumer.Add(1)
-	go func() {
-		defer p.consumer.Done()
-		p.run()
-	}()
-	res, solveErr := c.Solver.SolveStream(m, p)
-	// Close the stream and join the consumer on every path — a leaked
-	// consumer would hold pooled chunks and race the next interval.
-	close(p.ch)
-	p.consumer.Wait()
-	cm.streamDepth.Set(0)
-	if solveErr != nil {
-		cm.solveFails.Inc()
-		return nil, 0, solveErr
-	}
-	cm.stage["sitemerge"].Observe(res.SiteMergeTime.Seconds())
-	cm.stage["maxsiteflow"].Observe(res.SiteLPTime.Seconds())
-	cm.stage["fastssp"].Observe(res.SSPTime.Seconds())
-	publishStart := time.Now()
-	st, err := p.finish()
-	if err != nil {
-		return nil, 0, err
-	}
-	c.version.Store(next)
-	st.noteFastPath(res, cm)
-	c.stats = st
-	cm.stage["publish"].Observe(time.Since(publishStart).Seconds())
-	cm.interval.Observe(time.Since(intervalStart).Seconds())
-	cm.intervals.Inc()
-	cm.written.Add(uint64(st.Written))
-	cm.deleted.Add(uint64(st.Deleted))
-	cm.skipped.Add(uint64(st.Unchanged))
-	cm.writeErrs.Add(uint64(st.WriteErrors))
-	return res, st.Written, nil
+	return c.RunInterval(m)
 }

@@ -12,7 +12,8 @@ import (
 // must be safe for that. A sink that has finished with a chunk returns it to
 // the pool with ReleaseChunk; chunks must not be retained afterwards.
 //
-// The chunk protocol, per QoS class:
+// The chunk protocol, per QoS class (a solve without SplitQoS is one pass
+// whose chunks carry class 0):
 //
 //   - One assignment chunk per site pair, carrying the FastSSP outcome for
 //     every flow of the pair (TunIdx -1 = unassigned). Pairs sharing a source
@@ -20,7 +21,8 @@ import (
 //     interleaving is arbitrary.
 //   - After the last pair of a source site, a SiteDone marker for that site.
 //     No further non-residual chunk for the (class, src) follows, so a sink
-//     may flush per-site state eagerly.
+//     may flush per-site state eagerly — state that spans classes (an
+//     instance with flows in several) once each of them has sent its marker.
 //   - After the solve's residual pass, supplemental chunks with Residual set
 //     carrying only the flows the pass newly placed. These may touch any
 //     site, including ones already marked done.

@@ -17,6 +17,9 @@ lint_start=$(date +%s)
 lint_elapsed=$(($(date +%s) - lint_start))
 test "$lint_elapsed" -lt 30
 go test ./...
+# The repository benchmark is a separate module the line above never
+# compiles: vet it and run its toy-scale workloads against this tree.
+make benchmark-check
 go test -race ./internal/core/ ./internal/kvstore/ ./internal/controlplane/ ./internal/faultnet/ ./internal/telemetry/ ./internal/cluster/
 # Regression gates for the atomic-discipline invariants the atomiccheck
 # lint pass guards: counter accessors hammered while writer goroutines
